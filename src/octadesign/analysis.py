@@ -127,11 +127,14 @@ def analyze_q(
     cor_classes = full_col.num_colors - 1
     if cor_classes != m_min:
         raise CountMismatch("full-group orbital classes", m_min, cor_classes)
+    full_config = scheme.intersection_tensor(full_col, mode=scheme.full_check_mode(n, check_level))
     timings["full_scheme"] = clock() - t0
 
     t0 = clock()
     lam_col = wl.lambda_coloring(dsn)
-    trace = wl.wl_stabilize(lam_col, check_level=check_level)
+    # The full group preserves the block set, so the concurrence coloring is
+    # a union of its orbitals and the closure a fusion of them.
+    trace = wl.wl_stabilize(lam_col, check_level=check_level, orbitals=full_config)
     wl_config = trace.final
     props = scheme.check_props(wl_config)
     wl_classes = props.classes
@@ -140,7 +143,6 @@ def analyze_q(
     t0 = clock()
     mode = wl_config.check_level
     psl_config = scheme.intersection_tensor(psl_col, mode=scheme.full_check_mode(n, check_level))
-    full_config = scheme.intersection_tensor(full_col, mode=scheme.full_check_mode(n, check_level))
     if not scheme.refines(psl_col, full_col):
         raise RefinementViolation("PSL orbitals do not refine the full-group orbitals")
     if not scheme.refines(full_col, wl_config.coloring):

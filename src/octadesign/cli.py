@@ -228,10 +228,12 @@ def verify(q, modulus, generator, max_points, force, check_level):
 @click.option("--output", type=click.Path(dir_okay=False), default=None,
               help="Write the stabilized coloring (same format) here.")
 @click.option("--check-level", type=click.Choice(["full", "sampled"]), default=None)
-def wl_stabilize_cmd(input_path, output, check_level):
+@click.option("--max-points", type=int, default=analysis.DEFAULT_MAX_POINTS,
+              show_default=True, help="Refuse files declaring more points.")
+def wl_stabilize_cmd(input_path, output, check_level, max_points):
     """Refine a pair coloring file to its coherent closure."""
     try:
-        coloring = scheme.load_pair_coloring(input_path)
+        coloring = scheme.load_pair_coloring(input_path, max_points=max_points)
     except ValueError as exc:
         raise BadInput(str(exc)) from exc
     trace = wl.wl_stabilize(coloring, check_level=check_level)

@@ -373,10 +373,16 @@ def arith(a: FieldElement, b, kind: str):
 
 
 def is_char5_identity(field: Field) -> bool:
-    """Whether 1 + i equals -i, which happens exactly in characteristic 5."""
+    """Whether 1 + j equals -j for j = i or j = -i.
+
+    1 + j = -j means j = -1/2, and (-1/2)^2 = -1 forces 5 = 0, so this
+    happens exactly in characteristic 5, where -1/2 = 2 is one of the two
+    primitive fourth roots of unity.  Which one the generator yields as i
+    depends on the presentation, hence both are tried.
+    """
     if field.i_elem is None:
         raise MissingFourthRoot(f"GF({field.q}) has no primitive fourth root of unity")
-    return field.one + field.i_elem == -field.i_elem
+    return any(field.one + j == -j for j in (field.i_elem, -field.i_elem))
 
 
 def parse_field_spec(text: str) -> tuple[int, int, tuple[int, ...]]:

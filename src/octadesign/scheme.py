@@ -69,6 +69,11 @@ def invert_perm(perm: np.ndarray) -> np.ndarray:
     return inv
 
 
+def _cell_label_dtype(n: int) -> type:
+    """int32 while every cell index of an n*n array fits, else int64."""
+    return np.int32 if n * n < 2**31 else np.int64
+
+
 def orbital_coloring(perms: list[np.ndarray], n: int) -> PairColoring:
     """Orbits of a permutation group on ordered pairs, canonically numbered.
 
@@ -83,7 +88,7 @@ def orbital_coloring(perms: list[np.ndarray], n: int) -> PairColoring:
         g32 = np.asarray(g, dtype=np.int32)
         both.append(g32)
         both.append(invert_perm(g32))
-    labels = np.arange(n * n, dtype=np.int32).reshape(n, n)
+    labels = np.arange(n * n, dtype=_cell_label_dtype(n)).reshape(n, n)
     prev_total = None
     while True:
         for g in both:
@@ -339,8 +344,12 @@ def dump_scheme(config: CoherentConfig, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def load_pair_coloring(path: str) -> PairColoring:
-    """Read the matrix part of a scheme file; trailing tensor lines ignored."""
+def load_pair_coloring(path: str, max_points: int | None = None) -> PairColoring:
+    """Read the matrix part of a scheme file; trailing tensor lines ignored.
+
+    A header declaring more than max_points points is refused before any
+    row is read.
+    """
     with open(path, encoding="ascii") as fh:
         header = fh.readline().split()
         if len(header) != 2:
@@ -348,6 +357,11 @@ def load_pair_coloring(path: str) -> PairColoring:
         n, rank = int(header[0]), int(header[1])
         if n < 1 or rank < 1:
             raise ValueError("scheme header values must be positive")
+        if max_points is not None and n > max_points:
+            raise ValueError(
+                f"scheme has {n} points, above the limit of {max_points}; "
+                f"raise --max-points to read it"
+            )
         rows = []
         for _ in range(n):
             row = [int(s) for s in fh.readline().split()]

@@ -38,7 +38,7 @@ def _check_field(bundle, report) -> str:
     if i.multiplicative_order() != 4:
         raise CountMismatch("order of i", 4, i.multiplicative_order())
     if gf.is_char5_identity(f) != (f.p == 5):
-        raise CountMismatch("1+i == -i", f.p == 5, not f.p == 5)
+        raise CountMismatch("1+j == -j for j = i or -i", f.p == 5, not f.p == 5)
     return f"omega has order {q - 1}, i = omega^{(q - 1) // 4} squares to -1"
 
 
@@ -321,7 +321,8 @@ def _check_presentation_independence(bundle, report) -> str:
             runs.append(f"modulus {alt_mod}")
     alt_gen = _second_generator(bundle.field)
     if alt_gen is not None:
-        alt = analysis.analyze_q(q, generator=alt_gen)
+        # alt_gen's coefficients are in this field's presentation
+        alt = analysis.analyze_q(q, modulus=bundle.field.modulus, generator=alt_gen)
         if _invariants(alt) != base:
             raise CountMismatch("invariants under alternate generator", base,
                                 _invariants(alt))

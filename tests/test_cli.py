@@ -225,6 +225,31 @@ def test_wl_stabilize_input_errors(capsys, tmp_path):
     assert code == 3
 
 
+def test_wl_stabilize_refuses_oversized_header(capsys, tmp_path):
+    # The header declares 5000 points but one short row follows: the size
+    # gate must fire on the header alone, before any row is read.
+    path = tmp_path / "big.txt"
+    path.write_text("5000 2\n0 1\n")
+    code, _, err = run_cli(capsys, "wl-stabilize", "--input", str(path))
+    assert code == 3
+    assert "5000 points, above the limit of 2000" in err
+    code, _, err = run_cli(
+        capsys, "wl-stabilize", "--input", str(path), "--max-points", "5000"
+    )
+    assert code == 3
+    assert "expected 5000 colors per row" in err
+
+
+@pytest.mark.parametrize(
+    "override", [("--generator", "2 1"), ("--modulus", "5 2 2 4 1")]
+)
+def test_verify_25_under_other_presentations(capsys, override):
+    code, out, _ = run_cli(capsys, "verify", "25", *override)
+    assert "FAIL" not in out
+    assert out.strip().split("\n")[-1] == "17 checks, 17 passed"
+    assert code == 0
+
+
 def test_verify_all_checks_pass(capsys):
     code, out, _ = run_cli(capsys, "verify", "9")
     assert code == 0

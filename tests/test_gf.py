@@ -120,6 +120,17 @@ def test_char5_identity(p, alpha, expected):
     assert is_char5_identity(field_create(p, alpha)) is expected
 
 
+def test_char5_identity_holds_for_either_fourth_root():
+    # With generator x + 2, i = 3 = -2: then 1 + i = 4 is not -i = 2, but
+    # the identity holds for -i = 2.
+    field = field_create(5, 2, generator_override=(2, 1))
+    i = field.i_elem
+    assert field.one + i != -i
+    assert field.one - i == i
+    assert is_char5_identity(field) is True
+    assert is_char5_identity(field_create(13, 1, generator_override=6)) is False
+
+
 def test_field_create_rejects_bad_input():
     with pytest.raises(NotPrime):
         field_create(6, 1)

@@ -10,6 +10,7 @@ vectorized path must produce the identical partition.
 import numpy as np
 import pytest
 
+from octadesign.analysis import family_members
 from octadesign.errors import NotCoherent, RefinementViolation
 from octadesign.scheme import (
     PairColoring,
@@ -196,3 +197,57 @@ def test_schurian_flag():
     assert schurian_flag(3, 7) == NON_SCHURIAN
     with pytest.raises(RefinementViolation):
         schurian_flag(7, 5)
+
+
+def assert_same_closure(fused, dense):
+    assert np.array_equal(fused.final.coloring.color, dense.final.coloring.color)
+    assert fused.final.coloring.num_colors == dense.final.coloring.num_colors
+    assert fused.colors_per_round == dense.colors_per_round
+    assert fused.rounds == dense.rounds
+    assert np.array_equal(fused.final.tensor, dense.final.tensor)
+    assert np.array_equal(fused.final.transpose_map, dense.final.transpose_map)
+
+
+@pytest.mark.parametrize("q", family_members(53))
+def test_fused_closure_matches_dense(cache, q):
+    # The dense n*n iteration is the oracle for the fusion of the
+    # full-group orbital scheme: same colors, same numbering, same trace.
+    bundle = cache.bundle(q)
+    seed = lambda_coloring(bundle.design)
+    dense = wl_stabilize(seed)
+    fused = wl_stabilize(seed, orbitals=bundle.full_config)
+    assert_same_closure(fused, dense)
+
+
+def test_fused_closure_over_finer_scheme_matches_dense(cache):
+    # Any coherent configuration refining the seed will do, here the finer
+    # PSL orbital scheme at a non-Schurian member.
+    bundle = cache.bundle(25)
+    seed = lambda_coloring(bundle.design)
+    dense = wl_stabilize(seed)
+    fused = wl_stabilize(seed, orbitals=bundle.psl_config)
+    assert_same_closure(fused, dense)
+    assert bundle.psl_config.coloring.num_colors > fused.final.coloring.num_colors
+
+
+def test_fused_closure_rejects_non_union(cache):
+    bundle = cache.bundle(13)
+    seed = lambda_coloring(bundle.design)
+    color = seed.color.copy()
+    color[0, 1] = 1 if color[0, 1] != 1 else 2  # one off-diagonal cell flipped
+    flipped = PairColoring(n=seed.n, color=color, num_colors=seed.num_colors)
+    with pytest.raises(RefinementViolation):
+        wl_stabilize(flipped, orbitals=bundle.full_config)
+
+
+def test_fused_closure_rejects_unordered_orbital_numbering(cache):
+    bundle = cache.bundle(13)
+    color = bundle.full_config.coloring.color
+    swapped = np.where(color == 1, 2, np.where(color == 2, 1, color)).astype(np.int32)
+    orbitals = intersection_tensor(
+        PairColoring(n=bundle.full_config.coloring.n, color=swapped,
+                     num_colors=bundle.full_config.coloring.num_colors),
+        mode="full",
+    )
+    with pytest.raises(ValueError):
+        wl_stabilize(lambda_coloring(bundle.design), orbitals=orbitals)
