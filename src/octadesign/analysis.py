@@ -1,4 +1,11 @@
-"""Full pipeline for one q: field, design, schemes, closure, flags, report.
+"""Full pipeline for one q: the computation, and the checks it must pass.
+
+compute() builds every pipeline value once and the report; it raises only
+where it cannot go on (bad input, NotCoherent, a closure input that is not
+a union of orbitals, LabelClash).  Every other fact is one entry of CHECKS,
+an ordered table of named checks.  analyze_q runs its entries in order and
+raises CheckFailed at the first failure; verify.run_verification runs every
+entry, verify_only ones too.
 
 The report carries only exact integers, booleans, and strings; per-phase
 timings (milliseconds) are kept beside the report and never enter
@@ -7,15 +14,17 @@ machine-readable output, so repeated runs serialize to identical bytes.
 
 from __future__ import annotations
 
+import itertools
 import json
 import time
 from dataclasses import dataclass, field as dc_field
+from typing import Callable
 
 import numpy as np
 
-from . import counting, design as design_mod, pgroup, reference, scheme, wl
+from . import counting, design as design_mod, gf, pgroup, reference, scheme, wl
 from .design import DesignParams
-from .errors import BadInput, ConsistencyError, CountMismatch, RefinementViolation
+from .errors import BadInput, CheckFailed, ConsistencyError, CountMismatch
 from .gf import factor_prime_power, field_create
 from .pgroup import PointSet
 
@@ -51,17 +60,22 @@ class AnalysisReport:
 
 @dataclass
 class AnalysisArtifacts:
-    """Heavyweight intermediates, for callers that want to dump or reuse them."""
+    """The heavyweight pipeline values, each computed once per run."""
 
     field: object
     point_set: object
+    generator_perms: list
+    frobenius: np.ndarray
+    sigma: np.ndarray
     design: object
+    concurrence: np.ndarray  # lambda_matrix with r on the diagonal
+    lambda_coloring: object
     psl_config: object
     full_config: object
     wl_trace: object
 
 
-def analyze_q(
+def compute(
     q: int,
     *,
     modulus: tuple | None = None,
@@ -69,9 +83,12 @@ def analyze_q(
     max_points: int = DEFAULT_MAX_POINTS,
     force: bool = False,
     check_level: str | None = None,
-    artifacts: dict | None = None,
-) -> AnalysisReport:
-    """Run the whole construction and verification pipeline for one q."""
+) -> tuple[AnalysisReport, AnalysisArtifacts]:
+    """Build every pipeline value for one q, and the report on them.
+
+    Runs none of CHECKS; the report's params and census are the closed
+    forms that "design counts" and "pair census" check the design against.
+    """
     timings: dict = {}
 
     def clock():
@@ -92,82 +109,51 @@ def analyze_q(
     timings["field_and_points"] = clock() - t0
 
     t0 = clock()
-    dsn = design_mod.build_design(fld, ps)
-    params = design_mod.verify_counts(dsn)
+    gen_perms = pgroup.generator_perms(ps)
+    dsn = design_mod.build_design(fld, ps, gen_perms)
     timings["design"] = clock() - t0
 
     t0 = clock()
     point_stab = pgroup.point_stabilizer_report(ps)
     block_stab = design_mod.block_stabilizer_report(dsn)
-    census = design_mod.edge_diagonal_census(dsn) if p != 5 else None
     oc_formula = counting.orbit_count_formula(p, alpha)
     oc_direct = counting.orbit_count_direct(fld)
-    if oc_formula != oc_direct:
-        raise CountMismatch("scalar orbit count", oc_formula, oc_direct)
-    m_min = 2 * oc_formula - 1
     timings["counts"] = clock() - t0
 
+    mode = scheme.full_check_mode(n, check_level)
     t0 = clock()
-    gen_perms = pgroup.generator_perms(ps)
     psl_col = scheme.orbital_coloring(gen_perms, n)
-    psl_classes = psl_col.num_colors - 1
-    if psl_classes != params.m:
-        raise CountMismatch("PSL orbital classes", params.m, psl_classes)
     timings["psl_scheme"] = clock() - t0
 
     t0 = clock()
     frob = pgroup.frobenius_perm(ps)
-    blockset = {blk.points for blk in dsn.blocks}
-    base_pts = dsn.blocks[0].points
-    frob_image = tuple(sorted(int(frob[x]) for x in base_pts))
-    if frob_image not in blockset:
-        raise ConsistencyError("Frobenius does not preserve the block set")
     sig = pgroup.sigma_perm(ps)
     full_col = scheme.orbital_coloring(gen_perms + [frob, sig], n)
-    cor_classes = full_col.num_colors - 1
-    if cor_classes != m_min:
-        raise CountMismatch("full-group orbital classes", m_min, cor_classes)
-    full_config = scheme.intersection_tensor(full_col, mode=scheme.full_check_mode(n, check_level))
+    full_config = scheme.intersection_tensor(full_col, mode=mode)
     timings["full_scheme"] = clock() - t0
 
     t0 = clock()
-    lam_col = wl.lambda_coloring(dsn)
+    lam = design_mod.lambda_matrix(dsn)
+    lam_col = wl.lambda_coloring(dsn, lam)
     # The full group preserves the block set, so the concurrence coloring is
     # a union of its orbitals and the closure a fusion of them.
     trace = wl.wl_stabilize(lam_col, check_level=check_level, orbitals=full_config)
-    wl_config = trace.final
-    props = scheme.check_props(wl_config)
-    wl_classes = props.classes
+    props = scheme.check_props(trace.final)
+    wl_lambdas = scheme.gpbibd_check(dsn, trace.final.coloring, lam)
     timings["wl"] = clock() - t0
 
+    # Certified after the closure, not with psl_scheme: its n^2 temporaries
+    # then raise peak RSS less (2 MB less at q = 53).
     t0 = clock()
-    mode = wl_config.check_level
-    psl_config = scheme.intersection_tensor(psl_col, mode=scheme.full_check_mode(n, check_level))
-    if not scheme.refines(psl_col, full_col):
-        raise RefinementViolation("PSL orbitals do not refine the full-group orbitals")
-    if not scheme.refines(full_col, wl_config.coloring):
-        raise RefinementViolation("full-group orbitals do not refine the coherent closure")
-    if not scheme.refines(wl_config.coloring, lam_col):
-        raise RefinementViolation("the coherent closure does not refine the concurrence classes")
-    wl_lambdas = scheme.gpbibd_check(dsn, wl_config.coloring)
-    scheme.gpbibd_check(dsn, psl_col)
-    scheme.gpbibd_check(dsn, full_col)
-    timings["scheme_checks"] = clock() - t0
+    psl_config = scheme.intersection_tensor(psl_col, mode=mode)
+    timings["psl_tensor"] = clock() - t0
 
     t0 = clock()
-    drg = scheme.drg_analysis(wl_config)
+    drg = scheme.drg_analysis(trace.final, props)
     timings["drg"] = clock() - t0
 
-    flags = {
-        "schurian": wl.schurian_flag(wl_classes, cor_classes),
-        "symmetric": props.symmetric,
-        "commutative": props.commutative,
-        "homogeneous": props.homogeneous,
-        "degenerate": params.degenerate,
-    }
-    if props.symmetric and not props.commutative:
-        raise ConsistencyError("a symmetric scheme must be commutative")
-
+    params = design_mod.design_params(fld)
+    cor_classes = full_col.num_colors - 1
     report = AnalysisReport(
         q=q,
         p=p,
@@ -178,31 +164,380 @@ def analyze_q(
         params=params,
         point_stabilizer=point_stab,
         block_stabilizer=block_stab,
-        census=census,
+        census=design_mod.census_counts(fld),
         orbit_count_formula=oc_formula,
         orbit_count_direct=oc_direct,
-        psl_classes=psl_classes,
+        psl_classes=psl_col.num_colors - 1,
         cor_classes=cor_classes,
-        wl_classes=wl_classes,
+        wl_classes=props.classes,
         wl_rounds=trace.rounds,
         wl_colors_per_round=list(trace.colors_per_round),
         wl_lambda_of_color=wl_lambdas,
-        flags=flags,
+        flags={
+            "schurian": wl.schurian_flag(props.classes, cor_classes),
+            "symmetric": props.symmetric,
+            "commutative": props.commutative,
+            "homogeneous": props.homogeneous,
+            "degenerate": params.degenerate,
+        },
         drg=drg,
         expected=None,
-        check_level=mode,
+        check_level=trace.final.check_level,
         timings=timings,
     )
     report.expected = reference.compare_report(report)
+    bundle = AnalysisArtifacts(
+        field=fld,
+        point_set=ps,
+        generator_perms=gen_perms,
+        frobenius=frob,
+        sigma=sig,
+        design=dsn,
+        concurrence=lam,
+        lambda_coloring=lam_col,
+        psl_config=psl_config,
+        full_config=full_config,
+        wl_trace=trace,
+    )
+    return report, bundle
+
+
+# ---------------------------------------------------------------------------
+# The named checks.  Each takes (bundle, report) from compute() and returns
+# a detail line, or raises ConsistencyError; none recomputes a value that
+# compute() holds.
+
+A4_ELEMENT_ORDERS = [1, 2, 2, 2] + [3] * 8
+A5_ELEMENT_ORDERS = [1] + [2] * 15 + [3] * 20 + [5] * 24
+
+
+def _check_field(bundle, report) -> str:
+    f = bundle.field
+    q = f.q
+    if f.omega.multiplicative_order() != q - 1:
+        raise CountMismatch("order of omega", q - 1, f.omega.multiplicative_order())
+    i = f.i_elem
+    if i * i != -f.one:
+        raise CountMismatch("i*i", "-1", repr(i * i))
+    if i.multiplicative_order() != 4:
+        raise CountMismatch("order of i", 4, i.multiplicative_order())
+    if gf.is_char5_identity(f) != (f.p == 5):
+        raise CountMismatch("1+j == -j for j = i or -i", f.p == 5, not f.p == 5)
+    return f"omega has order {q - 1}, i = omega^{(q - 1) // 4} squares to -1"
+
+
+def _check_modulus_minimal(bundle, report) -> str:
+    f = bundle.field
+    minimal = next(gf.irreducible_moduli(f.p, f.alpha))
+    if f.modulus != minimal:
+        return f"running with override {f.modulus}; lex-least would be {minimal}"
+    return f"modulus {f.modulus} is the lex-least monic irreducible"
+
+
+def _check_transitivity(bundle, report) -> str:
+    n = bundle.point_set.n
+    orbit = pgroup.orbit_of_point(bundle.generator_perms, 0)
+    if len(orbit) != n:
+        raise CountMismatch("orbit of point 0", n, len(orbit))
+    return f"generators reach all {n} points from point 0"
+
+
+def _check_point_stabilizer(bundle, report) -> str:
+    rep = report.point_stabilizer
+    if not rep["shape_verified"]:
+        raise CountMismatch("stabilizer shape verified", True, False)
+    return (
+        f"order {rep['order']} = 2q, matches index {rep['index']} "
+        f"and the explicit upper-triangular form"
+    )
+
+
+def _check_frobenius(bundle, report) -> str:
+    n = bundle.point_set.n
+    f = bundle.field
+    frob = bundle.frobenius
+    power = np.arange(n, dtype=np.int32)
+    for _ in range(f.alpha):
+        power = frob[power]
+    if not np.array_equal(power, np.arange(n)):
+        raise CountMismatch("frobenius^alpha", "identity", "not identity")
+    blockset = {blk.points for blk in bundle.design.blocks}
+    flist = frob.tolist()
+    for blk in bundle.design.blocks:
+        if tuple(sorted(flist[x] for x in blk.points)) not in blockset:
+            raise CountMismatch("frobenius image of a block", "a block", "not a block")
+    return f"frobenius has order dividing {f.alpha} and permutes the block set"
+
+
+def _check_sigma(bundle, report) -> str:
+    # sigma_perm already checked the action on the basic block and sigma^2;
+    # this adds that conjugation by sigma maps each generator into the group.
+    ps = bundle.point_set
+    f = bundle.field
+    sig = bundle.sigma
+    siginv = scheme.invert_perm(sig)
+    i, one, zero = f.i_elem, f.one, f.zero
+    m = pgroup.sigma_matrix(f)
+    minv = (-i, i, zero, one)
+    ident = (one, zero, zero, one)
+    prod = _mat_mul(m, minv)
+    if tuple(e.coeffs for e in prod) != tuple(e.coeffs for e in ident):
+        raise CountMismatch("sigma * sigma^-1", "identity matrix", repr(prod))
+    for g, gp in zip(pgroup.psl_generators(f), bundle.generator_perms):
+        conj = _mat_mul(_mat_mul(m, g.m), minv)
+        pgroup.PslElement.from_matrix(conj)  # stays unimodular
+        if not np.array_equal(sig[gp[siginv]], ps.perm_of_matrix(conj)):
+            raise CountMismatch("sigma conjugation", "matching permutations", g)
+    return "sigma fixes the poles, cycles the equator, and normalizes the group"
+
+
+def _mat_mul(a, b):
+    return (
+        a[0] * b[0] + a[1] * b[2],
+        a[0] * b[1] + a[1] * b[3],
+        a[2] * b[0] + a[3] * b[2],
+        a[2] * b[1] + a[3] * b[3],
+    )
+
+
+def _check_design_counts(bundle, report) -> str:
+    params = design_mod.verify_counts(bundle.design)
+    lam = ", ".join(f"{k}={v}" for k, v in sorted(params.lambda_by_class.items()))
+    return (
+        f"v={params.v} b={params.b} r={params.r} k={params.k} ({lam}), "
+        f"all identities hold"
+    )
+
+
+def _check_census(bundle, report) -> str:
+    if bundle.field.p == 5:
+        return "skipped: pair classes are not intrinsic in characteristic 5"
+    census = design_mod.edge_diagonal_census(bundle.design)
+    return (
+        f"{census['edges']} edges in 4 blocks each, "
+        f"{census['diagonals']} diagonals in 1 block each"
+    )
+
+
+def _check_block_stabilizer(bundle, report) -> str:
+    rep = report.block_stabilizer
+    parts = [f"order {rep['order']} by orbit-stabilizer"]
+    if rep["explicit_reps_verified"]:
+        parts.append("12 explicit rotations verified")
+    if rep["brute_forced"]:
+        expected = A4_ELEMENT_ORDERS if rep["order"] == 12 else A5_ELEMENT_ORDERS
+        if rep["element_orders"] != expected:
+            raise CountMismatch(
+                "stabilizer element orders", expected, rep["element_orders"]
+            )
+        name = "tetrahedral" if rep["order"] == 12 else "icosahedral"
+        parts.append(f"brute-forced element orders match the {name} rotation group")
+    return "; ".join(parts)
+
+
+def _check_orbit_counts(bundle, report) -> str:
+    if report.orbit_count_formula != report.orbit_count_direct:
+        raise CountMismatch("orbit count", report.orbit_count_formula,
+                            report.orbit_count_direct)
+    floor = counting.min_associate_classes(report.p, report.alpha)
+    if report.cor_classes != floor:
+        raise CountMismatch("full-group classes", floor, report.cor_classes)
+    return (
+        f"formula and direct count agree on {report.orbit_count_formula} "
+        f"scalar orbits; full-group scheme meets the floor of {floor} classes"
+    )
+
+
+def _check_psl_scheme(bundle, report) -> str:
+    if report.psl_classes != report.params.m:
+        raise CountMismatch("PSL classes", report.params.m, report.psl_classes)
+    config = bundle.psl_config
+    lambdas = scheme.gpbibd_check(bundle.design, config.coloring, bundle.concurrence)
+    by_value: dict[int, int] = {}
+    k0 = config.diagonal_colors[0]
+    for color, lam in lambdas.items():
+        if color == k0:
+            continue
+        by_value[lam] = by_value.get(lam, 0) + 1
+    tally = ", ".join(
+        f"{cnt} class{'es' if cnt != 1 else ''} at lambda={lam}"
+        for lam, cnt in sorted(by_value.items(), reverse=True)
+    )
+    return f"{report.psl_classes} classes, concurrence constant on each ({tally})"
+
+
+def _check_valency_identity(bundle, report) -> str:
+    checked = 0
+    for config in (bundle.psl_config, bundle.full_config, bundle.wl_trace.final):
+        if config.valencies is None:
+            continue
+        rank = config.coloring.num_colors
+        rows = config.tensor.sum(axis=1)
+        want = np.broadcast_to(config.valencies[:, None], (rank, rank))
+        if not np.array_equal(rows, want):
+            raise CountMismatch("sum_j p_ij^k", "valency of i", "row sums differ")
+        checked += 1
+    return f"sum_j p_ij^k equals the valency of i in all {checked} schemes"
+
+
+def _check_wl_trace(bundle, report) -> str:
+    trace = bundle.wl_trace
+    counts = trace.colors_per_round
+    if any(b < a for a, b in zip(counts, counts[1:])):
+        raise CountMismatch("round color counts", "nondecreasing", counts)
+    final = trace.final.coloring
+    again, rank = wl._wl_round(final.color, final.num_colors, final.n)
+    if rank != final.num_colors or not np.array_equal(again, final.color):
+        raise CountMismatch("closure idempotence", "fixpoint", "refined further")
+    return (
+        f"{trace.rounds} rounds, colors {counts}, fixpoint verified idempotent, "
+        f"coherence certified at level {trace.final.check_level}"
+    )
+
+
+def _check_refinement_chain(bundle, report) -> str:
+    # With the closure equitable (gpbibd_check in compute), this chain also
+    # makes both orbital schemes equitable.
+    psl = bundle.psl_config.coloring
+    full = bundle.full_config.coloring
+    closure = bundle.wl_trace.final.coloring
+    lam = bundle.lambda_coloring
+    for finer, coarser, what in (
+        (psl, full, "PSL orbitals into full-group orbitals"),
+        (full, closure, "full-group orbitals into the coherent closure"),
+        (closure, lam, "the coherent closure into the concurrence classes"),
+    ):
+        if not scheme.refines(finer, coarser):
+            raise CountMismatch("refinement", what, "violated")
+    return (
+        f"chain holds: {psl.num_colors} -> {full.num_colors} -> "
+        f"{closure.num_colors} -> {lam.num_colors} colors"
+    )
+
+
+def _check_flags(bundle, report) -> str:
+    flags = report.flags
+    if flags["symmetric"] and not flags["commutative"]:
+        raise CountMismatch("commutative", "true for symmetric schemes", "false")
+    if not flags["homogeneous"]:
+        raise CountMismatch("homogeneous", True, False)
+    return (
+        f"{flags['schurian']}, symmetric={flags['symmetric']}, "
+        f"commutative={flags['commutative']}"
+    )
+
+
+def _check_reference(bundle, report) -> str:
+    if report.expected is None:
+        return "skipped: no reference row for this q"
+    if not report.expected["all_match"]:
+        bad = [k for k, ok in report.expected["matches"].items() if not ok]
+        raise CountMismatch("reference row", "all fields", f"mismatch in {bad}")
+    note = f" ({report.expected['notes'][0]})" if report.expected["notes"] else ""
+    return f"all {len(report.expected['matches'])} reference fields match{note}"
+
+
+def _invariants(report) -> tuple:
+    params, flags = report.params, report.flags
+    return (params.v, params.b, params.r, report.cor_classes, report.wl_classes,
+            flags["schurian"], flags["symmetric"], flags["commutative"])
+
+
+def _second(items):
+    return next(itertools.islice(items, 1, None), None)
+
+
+def _check_presentation_independence(bundle, report) -> str:
+    q = report.q
+    if q > 25:
+        return "skipped above q=25 (covered by the small cases)"
+    alternates = []  # (what, value, analyze_q overrides)
+    alt_mod = _second(gf.irreducible_moduli(report.p, report.alpha)) if report.alpha > 1 else None
+    if alt_mod is not None:
+        alternates.append(("modulus", alt_mod, {"modulus": alt_mod}))
+    alt_gen = _second(gf.generators(bundle.field))
+    if alt_gen is not None:
+        # alt_gen's coefficients are in this field's presentation
+        alternates.append(("generator", alt_gen.coeffs,
+                           {"modulus": bundle.field.modulus, "generator": alt_gen.coeffs}))
+    base = _invariants(report)
+    for what, value, presentation in alternates:
+        alt = _invariants(analyze_q(q, **presentation))
+        if alt != base:
+            raise CountMismatch(f"invariants under alternate {what}", base, alt)
+    if not alternates:
+        return "no alternate presentation exists at this q"
+    return "invariants unchanged under " + " and ".join(
+        f"{what} {value}" for what, value, _ in alternates
+    )
+
+
+@dataclass(frozen=True)
+class Check:
+    name: str
+    run: Callable  # (bundle, report) -> detail line; raises ConsistencyError
+    verify_only: bool = False
+
+
+CHECKS = [
+    Check("field constants", _check_field),
+    Check("modulus minimality", _check_modulus_minimal),
+    Check("point transitivity", _check_transitivity),
+    Check("point stabilizer", _check_point_stabilizer),
+    Check("frobenius action", _check_frobenius),
+    Check("sigma action", _check_sigma, verify_only=True),
+    Check("design counts", _check_design_counts),
+    Check("pair census", _check_census),
+    Check("block stabilizer", _check_block_stabilizer),
+    Check("scalar orbit counts", _check_orbit_counts),
+    Check("group scheme", _check_psl_scheme),
+    Check("valency identity", _check_valency_identity),
+    # one dense WL round at the fixpoint, n^3 work
+    Check("closure trace", _check_wl_trace, verify_only=True),
+    Check("refinement chain", _check_refinement_chain),
+    Check("flags", _check_flags),
+    # a mismatch is data, reported in report.expected
+    Check("reference row", _check_reference, verify_only=True),
+    # re-runs analyze_q under other presentations
+    Check("presentation independence", _check_presentation_independence,
+          verify_only=True),
+]
+
+
+def analyze_q(
+    q: int,
+    *,
+    modulus: tuple | None = None,
+    generator=None,
+    max_points: int = DEFAULT_MAX_POINTS,
+    force: bool = False,
+    check_level: str | None = None,
+    artifacts: dict | None = None,
+) -> AnalysisReport:
+    """Run the pipeline for one q and every check not marked verify_only.
+
+    Raises CheckFailed, naming the first check that fails.  Pass
+    `artifacts={}` to receive the AnalysisArtifacts under "bundle".
+    """
+    report, bundle = compute(
+        q,
+        modulus=modulus,
+        generator=generator,
+        max_points=max_points,
+        force=force,
+        check_level=check_level,
+    )
+    t0 = time.perf_counter()
+    for check in CHECKS:
+        if check.verify_only:
+            continue
+        try:
+            check.run(bundle, report)
+        except ConsistencyError as exc:
+            raise CheckFailed(check.name, exc) from exc
+    report.timings["checks"] = (time.perf_counter() - t0) * 1000.0
     if artifacts is not None:
-        artifacts["bundle"] = AnalysisArtifacts(
-            field=fld,
-            point_set=ps,
-            design=dsn,
-            psl_config=psl_config,
-            full_config=full_config,
-            wl_trace=trace,
-        )
+        artifacts["bundle"] = bundle
     return report
 
 

@@ -112,7 +112,12 @@ def analyze(q, fmt, modulus, generator, max_points, force, check_level,
 @click.option("--expected", is_flag=True,
               help="Exit 2 unless every computed row matches its reference row.")
 def table(max_q, fmt, max_points, force, check_level, expected):
-    """Analyze every family member q <= --max-q and tabulate the results."""
+    """Analyze every family member q <= --max-q and tabulate the results.
+
+    A member whose analysis raises ConsistencyError (a failed named check or
+    certificate) becomes a FAILED row and the exit code is 2; any other
+    exception aborts the whole table.
+    """
     members = analysis.family_members(max_q)
     skipped = []
     to_run = []

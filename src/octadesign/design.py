@@ -88,11 +88,14 @@ def basic_block(ps: PointSet) -> Block:
     return Block(points=tuple(sorted(verts)), diagonals=diags)
 
 
-def build_design(field: Field, ps: PointSet | None = None) -> Design:
-    """Grow the block orbit and collect concurrence and label data."""
+def build_design(field: Field, ps: PointSet | None = None, perms: list | None = None) -> Design:
+    """Grow the block orbit under the generator_perms `perms` (built when not
+    given) and collect concurrence and label data."""
     if ps is None:
         ps = PointSet(field)
-    perms = [g.tolist() for g in pgroup.generator_perms(ps)]
+    if perms is None:
+        perms = pgroup.generator_perms(ps)
+    perms = [g.tolist() for g in perms]
     start = basic_block(ps)
     visited = {start.points}
     blocks = [start]
@@ -136,22 +139,35 @@ def build_design(field: Field, ps: PointSet | None = None) -> Design:
     )
 
 
+def design_params(field: Field) -> DesignParams:
+    """The closed-form parameters that verify_counts checks a design against."""
+    expect = counting.design_counts(field.p, field.alpha)
+    return DesignParams(
+        v=expect["v"],
+        b=expect["b"],
+        r=expect["r"],
+        k=6,
+        m=expect["m"],
+        lambda_by_class=dict(expect["lambda_by_class"]),
+        degenerate=(expect["b"] == 1),
+    )
+
+
 def verify_counts(design: Design) -> DesignParams:
     """Check every counted quantity against its closed form."""
     f = design.field
-    expect = counting.design_counts(f.p, f.alpha)
-    v, b = design.n, len(design.blocks)
-    if v != expect["v"]:
-        raise CountMismatch("v", expect["v"], v)
-    if b != expect["b"]:
-        raise CountMismatch("b", expect["b"], b)
+    params = design_params(f)
+    v, b, r = design.n, len(design.blocks), params.r
+    if v != params.v:
+        raise CountMismatch("v", params.v, v)
+    if b != params.b:
+        raise CountMismatch("b", params.b, b)
     for blk in design.blocks:
         if len(set(blk.points)) != 6:
             raise CountMismatch("block size", 6, len(set(blk.points)))
     replication = {len(lst) for lst in design.point_to_blocks}
-    if replication != {expect["r"]}:
-        raise CountMismatch("r", {expect["r"]}, replication)
-    r = expect["r"]
+    if replication != {r}:
+        raise CountMismatch("r", {r}, replication)
     if b * 6 != v * r:
         raise CountMismatch("b*k", v * r, b * 6)
     total = sum(design.lambda_of_pair.values())
@@ -171,42 +187,44 @@ def verify_counts(design: Design) -> DesignParams:
         labeled = len(design.edge_pairs) + len(design.diag_pairs)
         if labeled != len(design.lambda_of_pair):
             raise CountMismatch("labeled pairs", len(design.lambda_of_pair), labeled)
-    params = DesignParams(
-        v=v,
-        b=b,
-        r=r,
-        k=6,
-        m=expect["m"],
-        lambda_by_class=dict(expect["lambda_by_class"]),
-        degenerate=(b == 1),
-    )
     design.params = params
     return params
 
 
+def census_counts(field: Field) -> dict | None:
+    """Closed-form pair-class census, or None in characteristic 5.
+
+    edge_diagonal_census checks a design against it.  In characteristic 5
+    the pair classes are not intrinsic.
+    """
+    if field.p == 5:
+        return None
+    expect = counting.design_counts(field.p, field.alpha)
+    return {
+        "edges": expect["edge_pairs"],
+        "diagonals": expect["diagonal_pairs"],
+        "blocks_per_edge": 4,
+        "blocks_per_diagonal": 1,
+    }
+
+
 def edge_diagonal_census(design: Design) -> dict:
     """Pair-class counts for characteristic other than 5."""
-    f = design.field
-    if f.p == 5:
+    census = census_counts(design.field)
+    if census is None:
         raise BadInput("edge/diagonal classes are not intrinsic in characteristic 5")
-    expect = counting.design_counts(f.p, f.alpha)
     ne, nd = len(design.edge_pairs), len(design.diag_pairs)
-    if ne != expect["edge_pairs"]:
-        raise CountMismatch("edge count", expect["edge_pairs"], ne)
-    if nd != expect["diagonal_pairs"]:
-        raise CountMismatch("diagonal count", expect["diagonal_pairs"], nd)
+    if ne != census["edges"]:
+        raise CountMismatch("edge count", census["edges"], ne)
+    if nd != census["diagonals"]:
+        raise CountMismatch("diagonal count", census["diagonals"], nd)
     per_edge = {design.lambda_of_pair[pr] for pr in design.edge_pairs}
     per_diag = {design.lambda_of_pair[pr] for pr in design.diag_pairs}
     if per_edge != {4}:
         raise CountMismatch("blocks per edge", {4}, per_edge)
     if per_diag != {1}:
         raise CountMismatch("blocks per diagonal", {1}, per_diag)
-    return {
-        "edges": ne,
-        "diagonals": nd,
-        "blocks_per_edge": 4,
-        "blocks_per_diagonal": 1,
-    }
+    return census
 
 
 def block_rotation_reps(field: Field) -> list[PslElement]:

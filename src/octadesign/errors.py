@@ -97,3 +97,12 @@ class NonIntegerResult(ConsistencyError):
 
 class NotDivisor(ConsistencyError):
     """A divisibility relation guaranteed by the theory fails."""
+
+
+class CheckFailed(ConsistencyError):
+    """A named check of the analysis failed; `check` names it."""
+
+    def __init__(self, check: str, cause: ConsistencyError):
+        super().__init__(f"{check}: {cause}")
+        self.check = check
+        self.cause = cause

@@ -111,12 +111,12 @@ def _is_irreducible(poly: tuple[int, ...], p: int) -> bool:
     return True
 
 
-def _find_modulus(p: int, alpha: int) -> tuple[int, ...]:
+def irreducible_moduli(p: int, alpha: int):
+    """Monic irreducible polynomials of degree alpha over F_p, in lex order."""
     for cs in itertools.product(range(p), repeat=alpha):
         poly = cs + (1,)
         if _is_irreducible(poly, p):
-            return poly
-    raise ReducibleModulus(f"no irreducible monic polynomial of degree {alpha} over F_{p}")
+            yield poly
 
 
 class FieldElement:
@@ -300,15 +300,15 @@ class Field:
         return f"GF({self.q})"
 
 
-def _find_generator(field: Field) -> FieldElement:
+def generators(field: Field):
+    """Generators of the multiplicative group (order q - 1), in lex order."""
     n = field.q - 1
     factors = prime_factors(n)
     for elt in field.elements():
         if elt.is_zero():
             continue
         if all((elt ** (n // ell)) != field.one for ell in factors):
-            return elt
-    raise InvalidGenerator(f"no generator found in GF({field.q})")
+            yield elt
 
 
 def field_create(
@@ -339,37 +339,18 @@ def field_create(
         if alpha > 1 and not _is_irreducible(modulus, p):
             raise ReducibleModulus(f"{modulus} factors over F_{p}")
     else:
-        modulus = _find_modulus(p, alpha)
+        modulus = next(irreducible_moduli(p, alpha))
     field = Field(p, alpha, modulus)
     if generator_override is not None:
         omega = field.element(generator_override)
         if omega.is_zero() or omega.multiplicative_order() != field.q - 1:
             raise InvalidGenerator(f"{omega!r} does not generate GF({field.q})^*")
     else:
-        omega = _find_generator(field)
+        omega = next(generators(field))
     field.omega = omega
     if field.q % 4 == 1:
         field.i_elem = omega ** ((field.q - 1) // 4)
     return field
-
-
-def arith(a: FieldElement, b, kind: str):
-    """Single dispatch point for element arithmetic; pow takes an int b."""
-    if kind == "add":
-        return a + b
-    if kind == "sub":
-        return a - b
-    if kind == "mul":
-        return a * b
-    if kind == "div":
-        return a / b
-    if kind == "neg":
-        return -a
-    if kind == "inv":
-        return a.inverse()
-    if kind == "pow":
-        return a**b
-    raise ValueError(f"unknown arithmetic kind {kind!r}")
 
 
 def is_char5_identity(field: Field) -> bool:
@@ -402,8 +383,3 @@ def parse_field_spec(text: str) -> tuple[int, int, tuple[int, ...]]:
         )
     return p, alpha, coeffs
 
-
-def format_field_spec(field: Field) -> str:
-    return " ".join(
-        str(n) for n in (field.p, field.alpha, *field.modulus)
-    )

@@ -189,7 +189,7 @@ def group_order(field: Field) -> int:
     return q * (q * q - 1) // 2
 
 
-def mulclose(gens: list[PslElement], limit: int | None = None) -> list[PslElement]:
+def mulclose(gens: list[PslElement]) -> list[PslElement]:
     """Breadth-first closure of a generating set under multiplication."""
     ident = PslElement.from_matrix(identity_matrix(gens[0].m[0].field))
     seen = {ident}
@@ -204,8 +204,6 @@ def mulclose(gens: list[PslElement], limit: int | None = None) -> list[PslElemen
                     seen.add(gh)
                     order.append(gh)
                     new.append(gh)
-                    if limit is not None and len(order) > limit:
-                        raise ConsistencyError(f"group closure exceeded {limit}")
         frontier = new
     return order
 
@@ -244,33 +242,31 @@ def sigma_matrix(field: Field) -> Matrix:
     return (field.i_elem, field.one, field.zero, field.one)
 
 
-def sigma_perm(ps: PointSet, verify: bool = True) -> np.ndarray:
-    """Permutation of the matrix [[i,1],[0,1]]; optionally check its contract.
+def sigma_perm(ps: PointSet) -> np.ndarray:
+    """Permutation of the matrix [[i,1],[0,1]], checked against its contract.
 
     The contract pins the action on the basic block: vertices (1,0) and
     (1,1-i) stay fixed, the equatorial square cycles, and the square of the
     permutation equals the permutation of a specific unimodular matrix.
     """
     perm = ps.perm_of_matrix(sigma_matrix(ps.field))
-    if verify:
-        f = ps.field
-        verts = [v.index for v in octahedron_vertices(ps)]
-        v0, v1, v2, v3, v4, v5 = verts
-        cycle_ok = (
-            perm[v0] == v0
-            and perm[v5] == v5
-            and perm[v1] == v2
-            and perm[v2] == v3
-            and perm[v3] == v4
-            and perm[v4] == v1
-        )
-        if not cycle_ok:
-            raise ConsistencyError("sigma does not act on the basic block as required")
-        sq_target = PslElement.from_matrix(
-            (-f.i_elem, -f.one + f.i_elem, f.zero, f.i_elem)
-        )
-        if not np.array_equal(perm[perm], ps.perm_of_matrix(sq_target.m)):
-            raise ConsistencyError("sigma squared is not the expected group element")
+    f = ps.field
+    v0, v1, v2, v3, v4, v5 = (v.index for v in octahedron_vertices(ps))
+    cycle_ok = (
+        perm[v0] == v0
+        and perm[v5] == v5
+        and perm[v1] == v2
+        and perm[v2] == v3
+        and perm[v3] == v4
+        and perm[v4] == v1
+    )
+    if not cycle_ok:
+        raise ConsistencyError("sigma does not act on the basic block as required")
+    sq_target = PslElement.from_matrix(
+        (-f.i_elem, -f.one + f.i_elem, f.zero, f.i_elem)
+    )
+    if not np.array_equal(perm[perm], ps.perm_of_matrix(sq_target.m)):
+        raise ConsistencyError("sigma squared is not the expected group element")
     return perm
 
 
@@ -316,20 +312,3 @@ def orbit_of_point(perms: list[np.ndarray], seed: int) -> list[int]:
                 queue.append(y)
     return order
 
-
-def orbit_of_set(perms: list[np.ndarray], seed: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Orbit of a point set under permutations, in discovery order."""
-    plists = [g.tolist() for g in perms]
-    start = tuple(sorted(seed))
-    seen = {start}
-    order = [start]
-    queue = deque([start])
-    while queue:
-        s = queue.popleft()
-        for g in plists:
-            img = tuple(sorted(g[x] for x in s))
-            if img not in seen:
-                seen.add(img)
-                order.append(img)
-                queue.append(img)
-    return order

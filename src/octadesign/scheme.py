@@ -228,14 +228,16 @@ def refines(finer: PairColoring, coarser: PairColoring) -> bool:
     return len(np.unique(key)) == finer.num_colors
 
 
-def gpbibd_check(design, coloring: PairColoring) -> dict:
+def gpbibd_check(design, coloring: PairColoring, lam: np.ndarray | None = None) -> dict:
     """Concurrence must be constant on every color; returns color -> lambda.
 
     Also checks the diagonal is a union of colors and that transposed colors
     carry equal concurrence, which together make the design a generalized
-    PBIBD over this coloring.
+    PBIBD over this coloring.  `lam` is the design's lambda_matrix (diagonal
+    r), built here when not given.
     """
-    lam = design_mod.lambda_matrix(design, diagonal="r")
+    if lam is None:
+        lam = design_mod.lambda_matrix(design, diagonal="r")
     rank = coloring.num_colors
     diag = np.ascontiguousarray(coloring.color.diagonal())
     diag_counts = np.bincount(diag, minlength=rank)
@@ -263,15 +265,17 @@ def _bool_square(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.astype(np.float32) @ b.astype(np.float32)) > 0.5
 
 
-def drg_analysis(config: CoherentConfig) -> dict | None:
+def drg_analysis(config: CoherentConfig, props: SchemeProps | None = None) -> dict | None:
     """Test for a diameter-3 distance-regular relation in a 3-class scheme.
 
     Tries each non-diagonal relation in color order; the first whose graph
     distance partition reproduces the color partition wins.  Returns the
     intersection array read off the tensor, the antipodality verdict, and
-    the quotient size, or None when no relation is metric.
+    the quotient size, or None when no relation is metric.  `props` is
+    check_props(config), computed here when not given.
     """
-    props = check_props(config)
+    if props is None:
+        props = check_props(config)
     if not (props.homogeneous and props.symmetric and props.classes == 3):
         return None
     coloring = config.coloring

@@ -59,17 +59,20 @@ class RefinementTrace:
     final: CoherentConfig
 
 
-def lambda_coloring(design) -> PairColoring:
+def lambda_coloring(design, lam: np.ndarray | None = None) -> PairColoring:
     """Initial coloring: identity is color 0, then concurrences descending.
 
     Every distinct concurrence value over off-diagonal pairs gets one color,
-    including zero, so non-adjacent pairs form a class of their own.
+    including zero, so non-adjacent pairs form a class of their own.  `lam`
+    is the design's lambda_matrix (either diagonal mode), built here when
+    not given.
     """
     n = design.n
-    lam = design_mod.lambda_matrix(design, diagonal="zero")
+    if lam is None:
+        lam = design_mod.lambda_matrix(design, diagonal="zero")
     off = ~np.eye(n, dtype=bool)
     values = sorted((int(v) for v in np.unique(lam[off])), reverse=True)
-    lut = np.zeros(max(values) + 1, dtype=np.int32)
+    lut = np.zeros(int(lam.max()) + 1, dtype=np.int32)
     for pos, val in enumerate(values):
         lut[val] = pos + 1
     color = lut[lam]

@@ -19,7 +19,6 @@ from octadesign.errors import (
 from octadesign.gf import (
     factor_prime_power,
     field_create,
-    format_field_spec,
     is_char5_identity,
     parse_field_spec,
     prime_factors,
@@ -243,6 +242,3 @@ def test_parse_and_format_field_spec():
         parse_field_spec("a b c")
     with pytest.raises(WrongDegree):
         parse_field_spec("3 2 1 0")  # needs alpha + 1 coefficients
-    field = field_create(3, 2)
-    p, alpha, modulus = parse_field_spec(format_field_spec(field))
-    assert (p, alpha, modulus) == (3, 2, field.modulus)
