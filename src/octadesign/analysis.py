@@ -321,17 +321,14 @@ def _check_census(bundle, report) -> str:
 
 def _check_block_stabilizer(bundle, report) -> str:
     rep = report.block_stabilizer
-    parts = [f"order {rep['order']} by orbit-stabilizer"]
+    expected = A4_ELEMENT_ORDERS if rep["order"] == 12 else A5_ELEMENT_ORDERS
+    if rep["element_orders"] != expected:
+        raise CountMismatch("stabilizer element orders", expected, rep["element_orders"])
+    name = "tetrahedral" if rep["order"] == 12 else "icosahedral"
+    parts = [f"order {rep['order']} by orbit-stabilizer and by frame"]
     if rep["explicit_reps_verified"]:
         parts.append("12 explicit rotations verified")
-    if rep["brute_forced"]:
-        expected = A4_ELEMENT_ORDERS if rep["order"] == 12 else A5_ELEMENT_ORDERS
-        if rep["element_orders"] != expected:
-            raise CountMismatch(
-                "stabilizer element orders", expected, rep["element_orders"]
-            )
-        name = "tetrahedral" if rep["order"] == 12 else "icosahedral"
-        parts.append(f"brute-forced element orders match the {name} rotation group")
+    parts.append(f"element orders match the {name} rotation group")
     return "; ".join(parts)
 
 

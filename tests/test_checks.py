@@ -128,12 +128,37 @@ def test_table_aborts_on_an_unexpected_exception(monkeypatch, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_block_stabilizer_element_orders_are_checked_above_49(monkeypatch, capsys):
+    original = design.block_stabilizer_report
+
+    def wrong_orders(dsn):
+        rep = original(dsn)
+        if dsn.field.q == 53:
+            rep["element_orders"] = [1] * 12
+        return rep
+
+    monkeypatch.setattr(design, "block_stabilizer_report", wrong_orders)
+    detail = ("stabilizer element orders: expected "
+              f"{analysis.A4_ELEMENT_ORDERS}, got {[1] * 12}")
+    code, out, err = run_cli(capsys, "analyze", "53")
+    assert code == 2
+    assert out == ""
+    assert err == f"inconsistency: block stabilizer: {detail}\n"
+
+    code, out, _ = run_cli(capsys, "verify", "53")
+    assert code == 2
+    fails = [ln for ln in out.splitlines() if ln.startswith("FAIL")]
+    assert fails == [f"FAIL block stabilizer: {detail}"]
+    assert out.endswith("17 checks, 16 passed\n")
+
+
 # Pipeline values that one verify run computes exactly once.
 ONCE = [
     (pgroup, "generator_perms"),
     (pgroup, "frobenius_perm"),
     (pgroup, "sigma_perm"),
     (design, "verify_counts"),
+    (design, "block_stabilizer_report"),
     (design, "edge_diagonal_census"),
     (design, "lambda_matrix"),
     (wl, "lambda_coloring"),

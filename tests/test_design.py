@@ -7,6 +7,7 @@ import pytest
 from octadesign.design import (
     basic_block,
     block_rotation_reps,
+    block_stabilizer_elements,
     block_stabilizer_report,
     build_design,
     dump_design,
@@ -16,7 +17,7 @@ from octadesign.design import (
 )
 from octadesign.errors import BadInput
 from octadesign.gf import factor_prime_power, field_create
-from octadesign.pgroup import PointSet
+from octadesign.pgroup import PointSet, PslElement, mulclose, psl_generators
 
 TETRAHEDRAL_ORDERS = sorted([1, 2, 2, 2] + [3] * 8)
 ICOSAHEDRAL_ORDERS = sorted([1] + [2] * 15 + [3] * 20 + [5] * 24)
@@ -105,15 +106,14 @@ def test_rotation_reps_fix_basic_block():
         assert {ps.act_index(g.m, x) for x in pts} == pts
 
 
-@pytest.mark.parametrize("q", [9, 13, 41])
+@pytest.mark.parametrize("q", [9, 13, 41, 49, 53])
 def test_block_stabilizer_tetrahedral(q):
     design = make_design(q)
     rep = block_stabilizer_report(design)
     assert rep["order"] == 12
     assert rep["explicit_reps_verified"] is True
-    if rep["brute_forced"]:
-        assert sorted(rep["element_orders"]) == TETRAHEDRAL_ORDERS
-        assert rep["has_order_six_element"] is False
+    assert rep["element_orders"] == TETRAHEDRAL_ORDERS
+    assert rep["has_order_six_element"] is False
 
 
 @pytest.mark.parametrize("q", [5, 25])
@@ -121,8 +121,57 @@ def test_block_stabilizer_icosahedral(q):
     design = make_design(q)
     rep = block_stabilizer_report(design)
     assert rep["order"] == 60
-    assert rep["brute_forced"] is True
-    assert sorted(rep["element_orders"]) == ICOSAHEDRAL_ORDERS
+    assert rep["explicit_reps_verified"] is None
+    assert rep["element_orders"] == ICOSAHEDRAL_ORDERS
+    assert rep["has_order_six_element"] is False
+
+
+def make_point_set(q):
+    return PointSet(field_create(*factor_prime_power(q)))
+
+
+@pytest.mark.parametrize("q", [5, 9, 13, 17])
+def test_frame_solution_matches_group_enumeration(q):
+    ps = make_point_set(q)
+    pts = set(basic_block(ps).points)
+    enumerated = {g for g in mulclose(psl_generators(ps.field))
+                  if {ps.act_index(g.m, x) for x in pts} == pts}
+    solved = block_stabilizer_elements(ps)
+    assert len(solved) == len(set(solved))
+    assert set(solved) == enumerated
+
+
+@pytest.mark.parametrize("q", [13, 49, 81])
+def test_rotation_reps_are_in_the_frame_solution(q):
+    ps = make_point_set(q)
+    assert set(block_rotation_reps(ps.field)) <= set(block_stabilizer_elements(ps))
+
+
+# 480 frame candidates, each mapping 6 vertices and deduplicated once.  The
+# whole group PSL(2,53) has 74,412 elements, so enumerating it breaks this.
+FLAT_WORK_BOUND = 480 * (6 + 1)
+
+
+@pytest.mark.parametrize("q", [13, 53])
+def test_block_stabilizer_work_is_flat_in_q(q, monkeypatch):
+    design = make_design(q)
+    calls = {"canonicalize": 0, "from_matrix": 0}
+    canonicalize = PointSet.canonicalize
+    from_matrix = PslElement.from_matrix
+
+    def counted_canonicalize(self, v):
+        calls["canonicalize"] += 1
+        return canonicalize(self, v)
+
+    def counted_from_matrix(cls, m):
+        calls["from_matrix"] += 1
+        return from_matrix(m)
+
+    monkeypatch.setattr(PointSet, "canonicalize", counted_canonicalize)
+    monkeypatch.setattr(PslElement, "from_matrix", classmethod(counted_from_matrix))
+    assert block_stabilizer_report(design)["order"] == 12
+    assert 0 < calls["canonicalize"] <= FLAT_WORK_BOUND, calls
+    assert 0 < calls["from_matrix"] <= FLAT_WORK_BOUND, calls
 
 
 def test_lambda_matrix_modes():
