@@ -10,8 +10,6 @@ a permutation of point indices (a numpy int32 array).
 
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
 
 from .errors import (
@@ -296,19 +294,3 @@ def point_stabilizer_report(ps: PointSet) -> dict:
     if len(elements) != stab_order:
         raise CountMismatch("distinct stabilizer elements", stab_order, len(elements))
     return {"order": stab_order, "index": ps.n, "shape_verified": True}
-
-
-def orbit_of_point(perms: list[np.ndarray], seed: int) -> list[int]:
-    seen = {seed}
-    order = [seed]
-    queue = deque([seed])
-    while queue:
-        x = queue.popleft()
-        for g in perms:
-            y = int(g[x])
-            if y not in seen:
-                seen.add(y)
-                order.append(y)
-                queue.append(y)
-    return order
-

@@ -1,12 +1,18 @@
 """Pair colorings, orbital schemes, and coherence verification.
 
-A pair coloring partitions the n*n cells of the point-pair space.  Orbital
-colorings come from a permutation group acting on pairs: labels start as the
-cell index and flow to the orbit minimum along generator images, so the
-final label of an orbit is its first cell in row-major order.  Coherence of
-a coloring is certified by computing intersection numbers from one
-representative cell per color and re-checking them against further
-representatives.
+A pair coloring partitions the n*n cells of the point-pair space, and its
+colors are numbered in order of first row-major cell.  Orbital colorings
+come from a permutation group acting on pairs.  They are built from one
+row per point orbit: a BFS over points gives the orbits and an inverse
+transversal, the row at each orbit's least point x is the partition of the
+points into suborbits of the stabilizer of x (from Schreier generators),
+and the transversal carries that row to every other point of the orbit.
+A chunked check that every generator preserves the result certifies it.
+Coherence of a coloring is certified by computing intersection numbers
+from one representative cell per color and re-checking them against
+further representatives.  The bookkeeping over n*n cells (transpose map,
+representatives, concurrence per color, refinement) scatters values by
+color and then verifies the scatter, with no sort of n*n keys.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import design as design_mod
-from .errors import CountMismatch, NotCoherent, NotDivisor, NotEquitable
+from .errors import ConsistencyError, NotCoherent, NotDivisor, NotEquitable
 
 FULL_CHECK_REPS = 6
 SAMPLED_CHECK_REPS = 2
@@ -69,74 +75,198 @@ def invert_perm(perm: np.ndarray) -> np.ndarray:
     return inv
 
 
-def _cell_label_dtype(n: int) -> type:
-    """int32 while every cell index of an n*n array fits, else int64."""
-    return np.int32 if n * n < 2**31 else np.int64
+# Schreier generators taken per point orbit before the invariance
+# certificate is tried; doubled after each failure.
+SCHREIER_START = 8
+# Cells per row block in the n^2 passes that run in blocks.
+BLOCK_CELLS = 1 << 18
+
+
+def _blocks(size: int, width: int = 1) -> list[slice]:
+    """Consecutive slices of range(size), about BLOCK_CELLS / width long."""
+    step = max(1, BLOCK_CELLS // width)
+    return [slice(a, min(size, a + step)) for a in range(0, size, step)]
+
+
+def transversal(perms: list[np.ndarray], n: int) -> tuple[list[np.ndarray], np.ndarray]:
+    """Point orbits, and an inverse transversal of each, by one BFS over points.
+
+    Each BFS starts from the least unvisited point, so an orbit's first
+    point x is its least.  Row z of the returned n*n int32 array is g_z^-1
+    for a group element g_z with g_z(x) = z; the BFS builds it level by
+    level, a generator s reaching s(z) from z giving row s(z) = row z
+    composed with s^-1.  Each orbit lists its points in BFS order.
+    """
+    inverses = [invert_perm(s) for s in perms]
+    seen = np.zeros(n, dtype=bool)
+    tinv = np.empty((n, n), dtype=np.int32)
+    orbits = []
+    for x in range(n):
+        if seen[x]:
+            continue
+        seen[x] = True
+        tinv[x] = np.arange(n, dtype=np.int32)
+        levels = [np.array([x], dtype=np.int32)]
+        while len(levels[-1]):
+            frontier = levels[-1]
+            reached = [frontier[:0]]
+            for s, s_inv in zip(perms, inverses):
+                image = s[frontier]
+                new = ~seen[image]
+                src, dst = frontier[new], image[new]
+                seen[dst] = True
+                tinv[dst] = tinv[src][:, s_inv]
+                reached.append(dst)
+            levels.append(np.concatenate(reached))
+        orbits.append(np.concatenate(levels))
+    return orbits, tinv
+
+
+def _schreier_generators(perms, orbit, tinv, count: int) -> list[np.ndarray]:
+    """Up to `count` Schreier generators of the stabilizer of orbit[0].
+
+    The pair (z, s) gives g_{s(z)}^-1 s g_z, which fixes x = orbit[0].  The
+    points z are spread evenly over the orbit's BFS order and the
+    generators s taken in turn; with count >= len(orbit) * len(perms) every
+    pair is taken.  Tree edges of the BFS give the identity and are dropped.
+    """
+    x = int(orbit[0])
+    count = min(count, len(orbit) * len(perms))
+    gens = []
+    for i in range(count):
+        z, s = int(orbit[i * len(orbit) // count]), perms[i % len(perms)]
+        h = tinv[s[z]][s[invert_perm(tinv[z])]]
+        if h[x] != x:
+            raise ConsistencyError(f"Schreier generator at point {z} moves {x} to {h[x]}")
+        if not np.array_equal(h, np.arange(len(h))):
+            gens.append(h)
+    return gens
+
+
+def _orbit_minima(gens: list[np.ndarray], n: int) -> np.ndarray:
+    """Least point of each point's orbit under the group `gens` generate.
+
+    Labels take the minimum over images under each generator and inverse,
+    with pointer jumping; an unchanged sweep is the fixpoint, where labels
+    are constant on orbits.
+    """
+    both = gens + [invert_perm(h) for h in gens]
+    labels = np.arange(n, dtype=np.int32)
+    while True:
+        prev = labels
+        for h in both:
+            labels = np.minimum(labels, labels[h])
+        labels = labels[labels]
+        if np.array_equal(labels, prev):
+            return labels
+
+
+def invariance_violation(color: np.ndarray, perms: list[np.ndarray]):
+    """First (generator index, x, y) with color[s(x), s(y)] != color[x, y].
+
+    None when every generator preserves the coloring.  Runs in row blocks,
+    so no n*n temporary is made.
+    """
+    for k, s in enumerate(perms):
+        for rows in _blocks(len(color), len(color)):
+            moved = color[s[rows]][:, s]
+            if not np.array_equal(moved, color[rows]):
+                x, y = np.argwhere(moved != color[rows])[0]
+                return k, rows.start + int(x), int(y)
+    return None
 
 
 def orbital_coloring(perms: list[np.ndarray], n: int) -> PairColoring:
     """Orbits of a permutation group on ordered pairs, canonically numbered.
 
-    Minimum-label propagation: each cell starts as its own label and
-    repeatedly takes the minimum over its images under each generator and
-    its inverse, with pointer jumping between sweeps.  Labels only decrease,
-    so an unchanged full sweep is a fixpoint; at the fixpoint every orbit
-    carries its minimal cell index.
+    A G-invariant coloring is fixed by one row per point orbit: with x the
+    least point of z's orbit, (z, y) lies in the orbital of
+    (x, g_z^-1(y)).  Row x is the partition of the points into orbits of a
+    few Schreier generators of the stabilizer of x; colors are numbered by
+    (x, least point of the row class), which is the order of first
+    row-major occurrence.  Every class then lies inside one orbital.  The
+    certificate that every generator preserves the coloring makes each
+    class a union of orbitals, hence exactly one; while it fails, the
+    Schreier generators are doubled, up to all of them (Schreier's lemma).
     """
-    both = []
-    for g in perms:
-        g32 = np.asarray(g, dtype=np.int32)
-        both.append(g32)
-        both.append(invert_perm(g32))
-    labels = np.arange(n * n, dtype=_cell_label_dtype(n)).reshape(n, n)
-    prev_total = None
+    perms = [np.asarray(s, dtype=np.int32) for s in perms]
+    orbits, tinv = transversal(perms, n)
+    orbit_of = np.empty(n, dtype=np.int32)
+    for k, orbit in enumerate(orbits):
+        orbit_of[orbit] = k
+    every_pair = max(len(orbit) for orbit in orbits) * len(perms)
+    count = SCHREIER_START
     while True:
-        for g in both:
-            np.minimum(labels, labels[g][:, g], out=labels)
-        flat = labels.ravel()
-        for _ in range(3):
-            jumped = flat[flat]
-            if np.array_equal(jumped, flat):
-                break
-            flat[:] = jumped
-        total = int(flat.sum(dtype=np.int64))
-        if total == prev_total:
-            break
-        prev_total = total
-    color, num = canonical_renumber(labels)
-    return PairColoring(n=n, color=color, num_colors=num)
+        rows = np.empty((len(orbits), n), dtype=np.int32)
+        num = 0
+        for k, orbit in enumerate(orbits):
+            least = _orbit_minima(_schreier_generators(perms, orbit, tinv, count), n)
+            is_least = least == np.arange(n)
+            rows[k] = num + np.cumsum(is_least)[least] - 1
+            num += int(np.count_nonzero(is_least))
+        color = np.empty((n, n), dtype=np.int32)
+        for block in _blocks(n, n):
+            color[block] = rows[orbit_of[block, None], tinv[block]]
+        bad = invariance_violation(color, perms)
+        if bad is None:
+            return PairColoring(n=n, color=color, num_colors=num)
+        if count >= every_pair:
+            k, x, y = bad
+            raise ConsistencyError(
+                f"orbital coloring is not invariant under generator {k} "
+                f"at cell ({x}, {y})"
+            )
+        count *= 2
 
 
 def transpose_map_of(coloring: PairColoring) -> np.ndarray:
     """Map each color to the color of the transposed cells, or fail."""
     rank = coloring.num_colors
-    flat = coloring.color.ravel().astype(np.int64)
-    flat_t = coloring.color.T.ravel()
-    keys = np.unique(flat * rank + flat_t)
+    C = coloring.color
     tmap = np.full(rank, -1, dtype=np.int32)
-    for key in keys.tolist():
-        i, j = divmod(key, rank)
-        if tmap[i] == -1:
-            tmap[i] = j
-        elif tmap[i] != j:
-            raise NotCoherent(
-                f"color {i} transposes into both color {tmap[i]} and color {j}",
-                color=i,
-            )
+    tmap[C] = C.T
+    mismatch = tmap[C] != C.T
+    if mismatch.any():
+        i = int(C[mismatch].min())
+        js = np.flatnonzero(np.bincount(C.T[C == i], minlength=rank))
+        raise NotCoherent(
+            f"color {i} transposes into both color {js[0]} and color {js[1]}",
+            color=i,
+        )
     if not np.array_equal(tmap[tmap], np.arange(rank)):
         raise NotCoherent("transpose map is not an involution")
     return tmap
 
 
+def _first_cells(flat: np.ndarray, size: int) -> np.ndarray:
+    """Least index of each value 0..size-1 in flat, len(flat) where absent.
+
+    Indices are scattered in descending order, so the least one is written
+    last; a second pass verifies that no cell precedes its value's entry.
+    """
+    first = np.full(size, len(flat), dtype=np.int64)
+    blocks = _blocks(len(flat))
+    for b in reversed(blocks):
+        first[flat[b][::-1]] = np.arange(b.stop - 1, b.start - 1, -1)
+    for b in blocks:
+        if not np.all(first[flat[b]] <= np.arange(b.start, b.stop)):
+            raise ConsistencyError("a scatter kept a later cell than the first")
+    return first
+
+
 def _color_representatives(coloring: PairColoring, want: int) -> list[np.ndarray]:
-    """First `want` cells of each color in row-major order."""
-    flat = coloring.color.ravel()
-    order = np.argsort(flat, kind="stable")
-    starts = np.searchsorted(flat[order], np.arange(coloring.num_colors + 1))
-    return [
-        order[starts[k]: min(starts[k] + want, starts[k + 1])]
-        for k in range(coloring.num_colors)
-    ]
+    """First `want` cells of each color in row-major order.
+
+    Each pass takes the first cell of every color, then recolors the taken
+    cells with the spare color num_colors, so the next pass finds the next.
+    """
+    rank = coloring.num_colors
+    flat = coloring.color.ravel().copy()
+    passes = np.empty((want, rank), dtype=np.int64)
+    for cells in passes:
+        cells[:] = _first_cells(flat, rank + 1)[:rank]
+        flat[cells[cells < len(flat)]] = rank
+    return [cells[cells < len(flat)] for cells in passes.T]
 
 
 def intersection_tensor(coloring: PairColoring, mode: str = "full") -> CoherentConfig:
@@ -223,9 +353,9 @@ def check_props(config: CoherentConfig) -> SchemeProps:
 
 def refines(finer: PairColoring, coarser: PairColoring) -> bool:
     """Whether color equality in `finer` implies color equality in `coarser`."""
-    key = finer.color.ravel().astype(np.int64) * coarser.num_colors
-    key += coarser.color.ravel()
-    return len(np.unique(key)) == finer.num_colors
+    to_coarser = np.zeros(finer.num_colors, dtype=coarser.color.dtype)
+    to_coarser[finer.color] = coarser.color
+    return bool(np.array_equal(to_coarser[finer.color], coarser.color))
 
 
 def gpbibd_check(design, coloring: PairColoring, lam: np.ndarray | None = None) -> dict:
@@ -245,14 +375,14 @@ def gpbibd_check(design, coloring: PairColoring, lam: np.ndarray | None = None) 
     for k in np.flatnonzero(diag_counts):
         if diag_counts[k] != total_counts[k]:
             raise NotEquitable(int(k), ["diagonal", "off-diagonal"])
-    key = coloring.color.ravel().astype(np.int64) * 65536 + lam.ravel()
-    uniq = np.unique(key)
-    colors = uniq // 65536
-    if len(np.unique(colors)) != len(uniq):
-        dup = int(colors[np.flatnonzero(colors[1:] == colors[:-1])[0]])
-        values = [int(k % 65536) for k in uniq if k // 65536 == dup]
-        raise NotEquitable(dup, values)
-    lambda_of_color = {int(c): int(k % 65536) for c, k in zip(colors, uniq)}
+    lam_of = np.zeros(rank, dtype=lam.dtype)
+    lam_of[coloring.color] = lam
+    mismatch = lam_of[coloring.color] != lam
+    if mismatch.any():
+        dup = int(coloring.color[mismatch].min())
+        values = np.flatnonzero(np.bincount(lam[coloring.color == dup]))
+        raise NotEquitable(dup, [int(v) for v in values])
+    lambda_of_color = {int(c): int(lam_of[c]) for c in np.flatnonzero(total_counts)}
     tmap = transpose_map_of(coloring)
     for c, lam_c in lambda_of_color.items():
         if lambda_of_color[int(tmap[c])] != lam_c:

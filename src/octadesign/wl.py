@@ -20,16 +20,18 @@ files and is the oracle for the fused path.
 
 Fused path (`orbitals` given): the precondition is that `orbitals` is a
 certified coherent configuration whose colors are numbered in order of
-first row-major cell (as orbital_coloring and canonical_renumber number
-them) and that every input color is a union of its classes.  Coherence
-makes each round's counts constant on every class, so every coloring the
-iteration visits is again such a union: the closure is a fusion of the
-given scheme.  The state is one label per class, and the count for class K
-and color pair (I, J) is the sum of p_ab^K over a in I and b in J, read off
-the rank-R intersection tensor.  Labels are renumbered in order of their
-lowest class index, which is the dense path's row-major order, so both
-paths return identical colorings, traces and tensors.  An input that is not
-a union of the classes raises RefinementViolation.
+first row-major cell (orbital_coloring numbers orbitals by the least point
+of their orbit, then by their least cell in that point's row, which is
+that order) and that every input color is a union of its classes.
+Coherence makes each round's counts constant on every class, so every
+coloring the iteration visits is again such a union: the closure is a
+fusion of the given scheme.  The state is one label per class, and the
+count for class K and color pair (I, J) is the sum of p_ab^K over a in I
+and b in J, read off the rank-R intersection tensor.  Labels are
+renumbered in order of their lowest class index, which is the dense path's
+row-major order, so both paths return identical colorings, traces and
+tensors.  An input that is not a union of the classes raises
+RefinementViolation.
 """
 
 from __future__ import annotations

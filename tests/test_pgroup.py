@@ -15,12 +15,12 @@ from octadesign.pgroup import (
     identity_matrix,
     mulclose,
     octahedron_vertices,
-    orbit_of_point,
     point_stabilizer_report,
     psl_generators,
     sigma_matrix,
     sigma_perm,
 )
+from octadesign.scheme import transversal
 
 # Element-order multisets of the two relevant quotient groups.
 TETRAHEDRAL_ORDERS = sorted([1, 2, 2, 2] + [3] * 8)
@@ -165,8 +165,9 @@ def test_mulclose_matches_order_formula():
 def test_point_transitivity():
     for q in [9, 13]:
         ps = make_ps(q)
-        orbit = orbit_of_point(generator_perms(ps), 0)
-        assert len(orbit) == len(ps)
+        orbits, _ = transversal(generator_perms(ps), len(ps))
+        assert [len(orbit) for orbit in orbits] == [len(ps)]
+        assert orbits[0][0] == 0
 
 
 @pytest.mark.parametrize("q", [5, 9, 13, 25])

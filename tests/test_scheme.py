@@ -10,7 +10,6 @@ import pytest
 from octadesign.errors import NotCoherent, NotEquitable
 from octadesign.scheme import (
     PairColoring,
-    _cell_label_dtype,
     canonical_renumber,
     check_props,
     drg_analysis,
@@ -63,16 +62,6 @@ def test_orbital_coloring_identity_group():
     n = 5
     coloring = orbital_coloring([np.arange(n, dtype=np.int32)], n)
     assert coloring.num_colors == n * n
-
-
-def test_orbital_labels_widen_before_cell_indices_wrap():
-    # The labels start as cell indices 0..n*n-1; int32 holds them only while
-    # n*n < 2**31, that is up to n = 46340 (q = 431).
-    assert _cell_label_dtype(702) is np.int32
-    assert _cell_label_dtype(46340) is np.int32
-    assert 46341**2 >= 2**31
-    assert _cell_label_dtype(46341) is np.int64
-    assert _cell_label_dtype(108_900) is np.int64  # q = 661
 
 
 def test_orbital_coloring_cyclic_translations():
